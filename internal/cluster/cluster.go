@@ -17,7 +17,8 @@
 // The transport contract is deliberately weak: messages may be dropped,
 // duplicated, delayed, or reordered (internal/chaos injects exactly
 // those faults). The cluster compensates with at-least-once delivery —
-// unacked batches are retried with exponential backoff — and per-slot
+// unacked batches are retried after a measured retransmission timeout,
+// under a measured send window (flow.go) — and per-slot
 // write stamps that discard stale redeliveries. Nodes may also be killed
 // mid-run (Control.FailNode): the dead node's blocks are reassigned to
 // survivors and the orphaned edge-cache state is rebuilt by
@@ -71,22 +72,26 @@ type Config struct {
 	// the perfect in-process transport; chaos.New builds a seeded faulty
 	// one (drops, duplicates, delay jitter, partitions).
 	Transport Transport
-	// RetryBase is the initial at-least-once retransmission backoff for
-	// unacked batches; it doubles per attempt (capped at 50ms). 0 means
-	// 2ms. Retries are idempotent by the state-based update discipline.
+	// RetryBase is the floor of the measured retransmission timeout. Each
+	// node estimates the round trip to each destination from its acks
+	// (RFC 6298) and waits max(RetryBase, srtt + 4·rttvar) before
+	// re-sending an unacked batch, doubling per attempt up to max(50ms,
+	// that timeout). 0 means 2ms. Retries are idempotent by the
+	// state-based update discipline.
 	RetryBase time.Duration
 	// RetryDeadline bounds how long one batch may stay undelivered to a
 	// live node before the run fails (an unbounded partition is the one
 	// fault the cluster does not tolerate — see DESIGN.md §8). 0 means
 	// 30s.
 	RetryDeadline time.Duration
-	// MaxUnacked caps each node's sent-but-unacknowledged batches: a
-	// worker flushing past the cap waits for acks before creating more.
-	// The window keeps the retry scan bounded when the transport is
-	// slower than the workers — without it a lossy, backpressured wire
-	// lets the unacked set (and with it the retransmission backlog)
-	// grow until retries arrive too late to beat RetryDeadline. 0 means
-	// 1024; negative means unbounded (the pre-window behavior, which
+	// MaxUnacked caps each node's send window of sent-but-unacknowledged
+	// batches: a worker flushing past the window waits for acks before
+	// creating more. Inside the cap the window is measured, not fixed: it
+	// starts at 8 and a delay-based controller grows it while few of the
+	// node's batches queue beyond the path's floor round trip and
+	// shrinks it (down to 4) while many do, bounding both the
+	// retransmission backlog and the staleness of in-flight updates.
+	// 0 means 1024; negative means unbounded (no window at all, which
 	// perfect in-process transports never notice).
 	MaxUnacked int
 	// Watchdog is the stall-watchdog sampling period: every period with
@@ -137,30 +142,6 @@ func (c Config) batchSize() int {
 		return 64
 	}
 	return c.BatchSize
-}
-
-func (c Config) maxUnacked() int {
-	if c.MaxUnacked == 0 {
-		return 1024
-	}
-	if c.MaxUnacked < 0 {
-		return 0 // unbounded
-	}
-	return c.MaxUnacked
-}
-
-func (c Config) retryBase() time.Duration {
-	if c.RetryBase == 0 {
-		return 2 * time.Millisecond
-	}
-	return c.RetryBase
-}
-
-func (c Config) retryDeadline() time.Duration {
-	if c.RetryDeadline == 0 {
-		return 30 * time.Second
-	}
-	return c.RetryDeadline
 }
 
 func (c Config) watchdogPeriod() time.Duration {

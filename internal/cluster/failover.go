@@ -82,11 +82,11 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 	// them. Their payloads are re-derived in step 5b from values[].
 	n.unackedMu.Lock()
 	orphans := len(n.unacked)
-	for bid := range n.unacked {
+	for bid, p := range n.unacked {
 		delete(n.unacked, bid)
+		n.flow.Drop(p)
 	}
 	n.unackedMu.Unlock()
-	n.releaseWindow(orphans)
 	if orphans > 0 {
 		c.sh0.Add(telemetry.CtrBatchesDropped, int64(orphans))
 		c.inflight.Add(int64(-orphans))

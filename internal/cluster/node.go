@@ -92,24 +92,15 @@ type node[V, M any] struct {
 	// unacked holds this node's sent-but-unacknowledged batches for the
 	// at-least-once retry loop.
 	unackedMu sync.Mutex
-	unacked   map[uint64]*pending
+	unacked   map[uint64]*Pending
 
-	// sendWindow is the MaxUnacked flow-control semaphore: flush
-	// acquires a slot per batch it registers, and every path that
+	// flow times this node's retransmissions and holds its send window:
+	// flush acquires a token per batch it registers, and every path that
 	// retires an unacked entry (first ack, dead-destination abandon,
-	// deadline failure, failover orphan sweep) releases one. nil means
-	// the window is unbounded. Safe against deadlock because acks are
-	// produced by appliers — goroutines that never wait on the window.
-	sendWindow chan struct{}
-}
-
-// pending is one unacknowledged batch awaiting its ack or retransmission.
-type pending struct {
-	to        int
-	env       Envelope
-	attempts  int
-	nextRetry time.Time
-	deadline  time.Time
+	// deadline failure, failover orphan sweep) returns one. Safe against
+	// deadlock because acks are produced by appliers — goroutines that
+	// never wait on the window.
+	flow *Flow
 }
 
 // batch is a building buffer of state-based edge-cache updates destined
@@ -160,10 +151,8 @@ func newCluster[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*
 			st:      sched.NewState(nb),
 			inbox:   make(chan Envelope, 1024),
 			down:    make(chan struct{}),
-			unacked: make(map[uint64]*pending),
-		}
-		if w := cfg.maxUnacked(); w > 0 {
-			c.nodes[i].sendWindow = make(chan struct{}, w)
+			unacked: make(map[uint64]*Pending),
+			flow:    NewFlow(cfg.Nodes, cfg.RetryBase, cfg.RetryDeadline, cfg.MaxUnacked),
 		}
 	}
 	c.liveNodes.Store(int64(cfg.Nodes))
@@ -515,25 +504,18 @@ func (c *clusterRun[V, M]) processBlock(n *node[V, M], b int, ws *workerState[V,
 // and inflight falls only when the ack comes back (or the destination
 // dies and the failover rebuild takes over the batch's duty).
 func (c *clusterRun[V, M]) flush(n *node[V, M], owner int, p *batch, sh *telemetry.Shard) {
-	if n.sendWindow != nil {
-		select {
-		case n.sendWindow <- struct{}{}: //abcdlint:ignore hotpath -- MaxUnacked flow control: one channel op per batch, amortized over BatchSize slot updates
-		case <-c.stopped:
-			// Teardown: the batch dies with the run. Waiting on done
-			// instead would deadlock — done closes only after the
-			// workers exit, and under a partition the window slots held
-			// by undeliverable batches are never coming back.
-			return
-		case <-c.done:
-			return // shutdown: the batch dies with the run
-		}
+	if !n.flow.Acquire(c.stopped) {
+		// Teardown: the batch dies with the run. Waiting on done instead
+		// would deadlock — done closes only after the workers exit, and
+		// under a partition the window tokens held by undeliverable
+		// batches are never coming back.
+		return
 	}
-	now := time.Now()
 	e := Envelope{
 		kind:   envData,
 		from:   n.id,
 		id:     c.seq.Add(1),
-		sentAt: now,
+		sentAt: time.Now(),
 		slots:  append([]int64(nil), p.slots...),  //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
 		blocks: append([]int32(nil), p.blocks...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
 		words:  append([]uint64(nil), p.words...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
@@ -543,13 +525,9 @@ func (c *clusterRun[V, M]) flush(n *node[V, M], owner int, p *batch, sh *telemet
 	c.inflight.Add(1)
 	sh.Add(telemetry.CtrMessagesSent, int64(len(e.slots)))
 	sh.Add(telemetry.CtrBatchesSent, 1)
-	n.unackedMu.Lock()          //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
-	n.unacked[e.id] = &pending{ //abcdlint:ignore hotalloc,hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
-		to:        owner,
-		env:       e,
-		nextRetry: now.Add(c.cfg.retryBase()),
-		deadline:  now.Add(c.cfg.retryDeadline()),
-	}
+	pe := n.flow.Track(owner, e)
+	n.unackedMu.Lock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
+	n.unacked[e.id] = pe
 	n.unackedMu.Unlock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: see the matching Lock above
 	c.transport.Send(n.id, owner, e)
 }
@@ -619,56 +597,28 @@ func (c *clusterRun[V, M]) handleEnvelope(n *node[V, M], e Envelope, as *applySc
 // settle clears one unacked batch on first ack; duplicate acks find the
 // entry gone and decrement nothing, keeping inflight exact.
 func (c *clusterRun[V, M]) settle(n *node[V, M], id uint64) {
+	now := time.Now()
 	n.unackedMu.Lock()
-	_, ok := n.unacked[id]
+	p, ok := n.unacked[id]
 	if ok {
 		delete(n.unacked, id)
 	}
 	n.unackedMu.Unlock()
 	if ok {
 		c.inflight.Add(-1)
-		n.releaseWindow(1)
+		n.flow.Ack(p, now)
 	}
-}
-
-// releaseWindow returns k MaxUnacked slots after unacked entries retire.
-// Acquire and release are one-to-one with the unacked map, so the
-// non-blocking receive never actually misses; it only keeps a bookkeeping
-// bug from turning into a hang.
-func (n *node[V, M]) releaseWindow(k int) {
-	if n.sendWindow == nil {
-		return
-	}
-	for i := 0; i < k; i++ {
-		select {
-		case <-n.sendWindow:
-		default:
-			return
-		}
-	}
-}
-
-// retrySend is one due retransmission collected under the unacked lock
-// and sent after it is released.
-type retrySend struct {
-	to  int
-	env Envelope
 }
 
 // retryLoop is the at-least-once delivery engine: it rescans every node's
-// unacked batches, retransmits the due ones with exponential backoff,
-// abandons batches whose destination died (the failover rebuild is their
+// unacked batches, retransmits the ones its Flow says are due, abandons
+// batches whose destination died (the failover rebuild is their
 // compensation), and fails the run if a batch to a live node outlives its
 // delivery deadline.
 func (c *clusterRun[V, M]) retryLoop(ctx context.Context) {
-	base := c.cfg.retryBase()
-	tick := base / 4
-	if tick < 200*time.Microsecond {
-		tick = 200 * time.Microsecond
-	}
-	timer := time.NewTimer(tick)
+	timer := time.NewTimer(c.retryTick())
 	defer timer.Stop()
-	var due []retrySend
+	var due []*Pending // collected under the unacked lock, sent after it
 	for !c.stopping.Load() {
 		select {
 		case <-ctx.Done():
@@ -677,48 +627,50 @@ func (c *clusterRun[V, M]) retryLoop(ctx context.Context) {
 			return
 		case <-timer.C:
 		}
-		timer.Reset(tick)
+		timer.Reset(c.retryTick())
 		now := time.Now()
 		for _, n := range c.nodes {
 			due = due[:0]
 			abandoned := 0
 			n.unackedMu.Lock()
 			for id, p := range n.unacked {
-				if c.nodes[p.to].failed.Load() {
+				if c.nodes[p.To].failed.Load() {
 					delete(n.unacked, id)
+					n.flow.Drop(p)
 					abandoned++
 					continue
 				}
-				if now.Before(p.nextRetry) {
-					continue
-				}
-				if now.After(p.deadline) {
+				switch n.flow.Due(p, now) {
+				case Expired:
 					delete(n.unacked, id)
+					n.flow.Drop(p)
 					abandoned++
 					c.fail(fmt.Errorf("cluster: batch %d from node %d to live node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
-						id, n.id, p.to, c.cfg.retryDeadline(), p.attempts))
-					continue
+						id, n.id, p.To, now.Sub(p.Env.sentAt), p.Attempts))
+				case Retransmit:
+					due = append(due, p)
 				}
-				p.attempts++
-				backoff := base << uint(p.attempts)
-				if backoff > 50*time.Millisecond {
-					backoff = 50 * time.Millisecond
-				}
-				p.nextRetry = now.Add(backoff)
-				due = append(due, retrySend{to: p.to, env: p.env})
 			}
 			n.unackedMu.Unlock()
 			if abandoned > 0 {
 				c.sh0.Add(telemetry.CtrBatchesDropped, int64(abandoned))
 				c.inflight.Add(int64(-abandoned))
-				n.releaseWindow(abandoned)
 			}
-			for _, r := range due {
+			for _, p := range due {
 				c.sh0.Add(telemetry.CtrBatchesRetried, 1)
-				c.transport.Send(n.id, r.to, r.env)
+				c.transport.Send(n.id, p.To, p.Env)
 			}
 		}
 	}
+}
+
+// retryTick is the shortest retry-scan period any node's Flow asks for.
+func (c *clusterRun[V, M]) retryTick() time.Duration {
+	tick := c.nodes[0].flow.RetryTick()
+	for _, n := range c.nodes[1:] {
+		tick = min(tick, n.flow.RetryTick())
+	}
+	return tick
 }
 
 // watchdog samples run progress once per watchdog period and counts the

@@ -46,7 +46,11 @@ type DistConfig struct {
 	Source uint32
 	// BlockSize, WorkersPerNode, BatchSize, Epsilon, MaxUnacked,
 	// RetryBase, and RetryDeadline mean exactly what they mean in
-	// cluster.Config; zero values take the same defaults.
+	// cluster.Config; zero values take the same defaults. In particular
+	// RetryBase is only the floor of each node's measured retransmission
+	// timeout and MaxUnacked only the cap of its measured send window
+	// (cluster.Flow); each node's send_window_batches,
+	// rtt_smoothed_seconds and rto_seconds gauges show the values in use.
 	BlockSize      int
 	WorkersPerNode int
 	BatchSize      int
@@ -580,8 +584,8 @@ type distNode[V, M any] struct {
 	inflight  atomic.Int64
 
 	unackedMu sync.Mutex
-	unacked   map[uint64]*distPending
-	window    chan struct{}
+	unacked   map[uint64]*cluster.Pending
+	flow      *cluster.Flow // retransmission timeout and send window
 
 	applyMu  sync.Mutex
 	stopping atomic.Bool
@@ -610,14 +614,6 @@ type distNode[V, M any] struct {
 	ckpt *distCheckpointer[V, M]
 }
 
-type distPending struct {
-	to        int
-	env       cluster.Envelope
-	attempts  int
-	nextRetry time.Time
-	deadline  time.Time
-}
-
 // distBlockRange computes the contiguous global block span node i owns —
 // the same formula the in-process engine seeds its owner table with.
 func distBlockRange(nb, nodes, i int) (lo, hi int) {
@@ -639,7 +635,8 @@ func newDistNode[V, M any](g *graph.Graph, a distAssign, prog bcd.Program[V, M],
 		st:         sched.NewState(nb),
 		blockOwner: make([]int32, nb),
 		blockLo:    lo, blockHi: hi,
-		unacked: make(map[uint64]*distPending),
+		unacked: make(map[uint64]*cluster.Pending),
+		flow:    cluster.NewFlow(a.nodes, a.retryBase, a.retryDeadline, a.maxUnacked),
 		done:    make(chan struct{}),
 	}
 	for i := 0; i < a.nodes; i++ {
@@ -648,13 +645,11 @@ func newDistNode[V, M any](g *graph.Graph, a distAssign, prog bcd.Program[V, M],
 			d.blockOwner[b] = int32(i)
 		}
 	}
-	if w := a.maxUnackedOrDefault(); w > 0 {
-		d.window = make(chan struct{}, w)
-	}
 	d.tel = tr.opts.Telemetry
 	if d.tel == nil {
 		d.tel = telemetry.New(telemetry.Options{})
 	}
+	d.flow.RegisterGauges(d.tel)
 	d.shards = d.tel.Shards(a.workersPerNode + 1)
 	d.shC = &d.shards[a.workersPerNode]
 	d.tel.SetVertices(g.NumVertices())
@@ -682,30 +677,6 @@ func newDistNode[V, M any](g *graph.Graph, a distAssign, prog bcd.Program[V, M],
 		d.st.Activate(b, 1)
 	}
 	return d, nil
-}
-
-func (a distAssign) maxUnackedOrDefault() int {
-	if a.maxUnacked == 0 {
-		return 1024
-	}
-	if a.maxUnacked < 0 {
-		return 0 // unbounded
-	}
-	return a.maxUnacked
-}
-
-func (a distAssign) retryBaseOrDefault() time.Duration {
-	if a.retryBase == 0 {
-		return 2 * time.Millisecond
-	}
-	return a.retryBase
-}
-
-func (a distAssign) retryDeadlineOrDefault() time.Duration {
-	if a.retryDeadline == 0 {
-		return 30 * time.Second
-	}
-	return a.retryDeadline
 }
 
 func (d *distNode[V, M]) ownedVertexRange() (int, int) {
@@ -833,20 +804,16 @@ func (d *distNode[V, M]) applyEnvelope(e cluster.Envelope) {
 // settle clears one unacked batch on first ack; duplicate acks find the
 // entry gone and release nothing, keeping inflight and the window exact.
 func (d *distNode[V, M]) settle(id uint64) {
+	now := time.Now()
 	d.unackedMu.Lock()
-	_, ok := d.unacked[id]
+	p, ok := d.unacked[id]
 	if ok {
 		delete(d.unacked, id)
 	}
 	d.unackedMu.Unlock()
 	if ok {
 		d.inflight.Add(-1)
-		if d.window != nil {
-			select {
-			case <-d.window:
-			default:
-			}
-		}
+		d.flow.Ack(p, now)
 	}
 }
 
@@ -998,17 +965,12 @@ func (d *distNode[V, M]) processBlock(b int, ws *distWorkerState[V, M]) {
 
 // flush turns the building batch into a data envelope, registers it for
 // at-least-once retry, and hands it to the transport, honoring the
-// MaxUnacked send window.
+// send window.
 func (d *distNode[V, M]) flush(owner int, p *distBatch, sh *telemetry.Shard) {
-	if d.window != nil {
-		select {
-		case d.window <- struct{}{}: //abcdlint:ignore hotpath -- MaxUnacked flow control: one channel op per batch, amortized over BatchSize slot updates
-		case <-d.done:
-			return // shutdown: the batch dies with the run
-		}
+	if !d.flow.Acquire(d.done) {
+		return // shutdown: the batch dies with the run
 	}
-	now := time.Now()
-	e := cluster.NewDataEnvelope(d.a.node, d.seq.Add(1), now,
+	e := cluster.NewDataEnvelope(d.a.node, d.seq.Add(1), time.Now(),
 		append([]int64(nil), p.slots...),  //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
 		append([]int32(nil), p.blocks...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
 		append([]uint64(nil), p.words...)) //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
@@ -1018,13 +980,9 @@ func (d *distNode[V, M]) flush(owner int, p *distBatch, sh *telemetry.Shard) {
 	sh.Add(telemetry.CtrMessagesSent, int64(len(e.Slots())))
 	sh.Add(telemetry.CtrBatchesSent, 1)
 	sh.FlowSend(owner, e.ID(), d.tel.Stamp())
-	d.unackedMu.Lock()                //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
-	d.unacked[e.ID()] = &distPending{ //abcdlint:ignore hotalloc,hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
-		to:        owner,
-		env:       e,
-		nextRetry: now.Add(d.a.retryBaseOrDefault()),
-		deadline:  now.Add(d.a.retryDeadlineOrDefault()),
-	}
+	pe := d.flow.Track(owner, e)
+	d.unackedMu.Lock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
+	d.unacked[e.ID()] = pe
 	d.unackedMu.Unlock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: see the matching Lock above
 	d.tr.Send(d.a.node, owner, e)
 }
@@ -1032,42 +990,34 @@ func (d *distNode[V, M]) flush(owner int, p *distBatch, sh *telemetry.Shard) {
 // retryLoop is the single-node edition of the in-process engine's retry
 // loop: scan under the lock, send outside it.
 func (d *distNode[V, M]) retryLoop() {
-	base := d.a.retryBaseOrDefault()
-	tick := base / 4
-	if tick < 200*time.Microsecond {
-		tick = 200 * time.Microsecond
-	}
-	var due []*distPending
+	timer := time.NewTimer(d.flow.RetryTick())
+	defer timer.Stop()
+	var due []*cluster.Pending
 	for !d.stopping.Load() {
 		select {
 		case <-d.done:
 			return
-		case <-time.After(tick):
+		case <-timer.C:
 		}
+		timer.Reset(d.flow.RetryTick())
 		now := time.Now()
 		due = due[:0]
-		var expired *distPending
+		var expired *cluster.Pending
 		d.unackedMu.Lock()
 		for _, p := range d.unacked {
-			if now.Before(p.nextRetry) {
-				continue
-			}
-			if now.After(p.deadline) {
+			v := d.flow.Due(p, now)
+			if v == cluster.Expired {
 				expired = p
 				break
 			}
-			p.attempts++
-			backoff := base << uint(p.attempts)
-			if backoff > 50*time.Millisecond {
-				backoff = 50 * time.Millisecond
+			if v == cluster.Retransmit {
+				due = append(due, p)
 			}
-			p.nextRetry = now.Add(backoff)
-			due = append(due, p)
 		}
 		d.unackedMu.Unlock()
 		if expired != nil {
 			d.fail(fmt.Errorf("tcp: batch %d to node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
-				expired.env.ID(), expired.to, d.a.retryDeadlineOrDefault(), expired.attempts))
+				expired.Env.ID(), expired.To, now.Sub(expired.Env.SentAt()), expired.Attempts))
 			return
 		}
 		for _, p := range due {
@@ -1075,7 +1025,7 @@ func (d *distNode[V, M]) retryLoop() {
 				return
 			}
 			d.shC.Add(telemetry.CtrBatchesRetried, 1)
-			d.tr.Send(d.a.node, p.to, p.env)
+			d.tr.Send(d.a.node, p.To, p.Env)
 		}
 	}
 }
@@ -1239,7 +1189,9 @@ func (d *distNode[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pr
 		return nil, err
 	}
 	obslog.L().Info("cluster quiescent, collecting values",
-		"event", "dist.quiesce", "nodes", d.a.nodes)
+		"event", "dist.quiesce", "nodes", d.a.nodes,
+		"send_window_batches", d.flow.Window(),
+		"rtt_smoothed", d.flow.SRTT(), "rto", d.flow.RTO())
 	var sent int64
 	for _, r := range prev {
 		sent += int64(r.sent)

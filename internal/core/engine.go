@@ -366,7 +366,9 @@ func (e *engine[V, M]) runBlocked() bool {
 	// (Sec. III-D) and preserves the Gauss-Seidel freshness that makes
 	// small blocks converge faster (Sec. III-C). Deep queues would let
 	// the gather pipeline race arbitrarily far ahead of scatter and
-	// degenerate the engine toward Jacobi.
+	// degenerate the engine toward Jacobi. The queues bound staleness only
+	// while every worker keeps running; the async scheduler's claim window
+	// (delay.go) bounds it when one stalls.
 	qcap := func(workers int) int {
 		c := e.cfg.QueueDepth
 		if c == 0 {
@@ -424,6 +426,9 @@ func (e *engine[V, M]) schedule(s sched.Scheduler, accelQ chan<- blockItem) bool
 	budget := e.maxVertexUpdates()
 	spins := 0
 	epochsSeen := 0
+	// One sweep of claims past the oldest block in flight: a stalled
+	// block is at most one sweep stale when its update lands.
+	win := newClaimWindow(e.part.NumBlocks(), e.part.NumBlocks())
 	for {
 		e.stall("schedule")
 		epochsSeen = e.fireEpochHook(epochsSeen)
@@ -433,12 +438,18 @@ func (e *engine[V, M]) schedule(s sched.Scheduler, accelQ chan<- blockItem) bool
 		if e.st.Quiescent() {
 			return true
 		}
+		if win.full(e.st) {
+			// The oldest block in flight is a sweep behind: wait for it.
+			idle(&spins)
+			continue
+		}
 		b, ok := s.Next()
 		if !ok {
 			// Nothing claimable: blocks are in flight. Yield and re-poll.
 			idle(&spins)
 			continue
 		}
+		win.claimed(b)
 		spins = 0
 		e.sh0.Add(telemetry.CtrTasksIssued, 1)
 		if e.rec != nil {
